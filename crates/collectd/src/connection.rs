@@ -41,7 +41,7 @@ impl ConnObs {
 
     /// Span-start timestamp (µs since the daemon's epoch), or 0 when
     /// tracing is off.
-    fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         if self.trace.is_some() {
             self.epoch.elapsed().as_micros() as u64
         } else {
@@ -50,7 +50,7 @@ impl ConnObs {
     }
 
     /// Records a completed span covering `items` items.
-    fn span(&self, stage: Stage, start_us: u64, items: u64) {
+    pub(crate) fn span(&self, stage: Stage, start_us: u64, items: u64) {
         if let Some(ring) = &self.trace {
             let end_us = self.epoch.elapsed().as_micros() as u64;
             ring.record(TraceEvent {

@@ -44,6 +44,7 @@ use crate::sync::time::Instant;
 use crate::sync::Arc;
 use crossbeam::channel::{Receiver, TryRecvError};
 use mio::{Events, Interest, Poll, Token};
+use qtag_obs::Stage;
 use qtag_server::BeaconInlet;
 use qtag_wire::sender::ACK_LEN;
 use std::io::{self, Read, Write};
@@ -178,8 +179,10 @@ impl ConnState {
     /// Non-blocking ack flush. Partial progress advances `cursor`; a
     /// full drain counts the acks (`acks_sent` per record,
     /// `ack_flushes` per drained buffer — the coalescing unit of this
-    /// mode), resets the buffer, and lifts a read pause.
+    /// mode), records one `Stage::Ack` span covering the call that
+    /// completed it, resets the buffer, and lifts a read pause.
     fn flush(&mut self, io: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
+        let start_us = ctx.obs.now_us();
         while self.cursor < self.acks.len() {
             match io.write(&self.acks[self.cursor..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -196,6 +199,7 @@ impl ConnState {
             self.acks.clear();
             self.cursor = 0;
             self.paused = false;
+            ctx.obs.span(Stage::Ack, start_us, n);
         }
         Ok(())
     }
@@ -565,22 +569,28 @@ pub fn reactor_chunks(
         shutdown,
         obs: crate::connection::ConnObs::disabled(),
     };
+    drive_chunks(&ctx, chunks, write_cap)
+}
+
+/// The body of [`reactor_chunks`] over a caller-built context (the
+/// unit tests attach a trace ring to it).
+fn drive_chunks(ctx: &ConnCtx, chunks: &[Vec<u8>], write_cap: usize) -> Vec<u8> {
     let mut io = ScriptedIo::new(chunks, write_cap);
     let mut state = ConnState::new();
     let mut scratch = vec![0u8; qtag_wire::framing::MAX_FRAME_LEN + 64];
     // One "readable event" per iteration: budget 1 read, like a worker
     // seeing one level-triggered wakeup per scripted chunk.
-    while let Ok(ReadOutcome::Open) = state.on_readable(&mut io, &ctx, &mut scratch, 1) {
+    while let Ok(ReadOutcome::Open) = state.on_readable(&mut io, ctx, &mut scratch, 1) {
         // One "writable event" whenever a flush is parked; the
         // scripted writer guarantees progress every other call, so
         // the pause always lifts.
         while state.wants_writable() {
-            if state.on_writable(&mut io, &ctx).is_err() {
+            if state.on_writable(&mut io, ctx).is_err() {
                 break;
             }
         }
     }
-    state.finish(&mut io, &ctx);
+    state.finish(&mut io, ctx);
     io.written
 }
 
@@ -644,6 +654,7 @@ mod tests {
     use super::*;
     use crate::connection::serve_binary_chunks;
     use crate::sync::Mutex;
+    use qtag_obs::TraceRing;
     use qtag_server::{
         ImpressionStore, IngestConfig, IngestService, ServedImpression, ShardedStore,
     };
@@ -788,6 +799,44 @@ mod tests {
             "the capped writer must have paused reads at least once: {snap:?}"
         );
         assert_eq!(r.store.unique_beacons(), 12);
+    }
+
+    /// Every fully drained ack buffer leaves one `Stage::Ack` span
+    /// carrying its ack count, partial writes included — the same
+    /// accounting as the threaded `flush_acks`.
+    #[test]
+    fn reactor_chunks_trace_one_ack_span_per_drained_flush() {
+        let ids: Vec<u64> = (1..=24).collect();
+        let stream = acked_stream(&ids);
+        let chunks: Vec<Vec<u8>> = stream.chunks(29).map(|c| c.to_vec()).collect();
+        let r = rig();
+        let ring = Arc::new(TraceRing::new(1024));
+        let ctx = ConnCtx {
+            cfg: Arc::clone(&r.cfg),
+            stats: Arc::clone(&r.stats),
+            inlet: r.service.inlet(),
+            shutdown: Arc::clone(&r.shutdown),
+            obs: crate::connection::ConnObs {
+                trace: Some(Arc::clone(&ring)),
+                epoch: Instant::now(),
+                conn_id: 5,
+            },
+        };
+        let acks = drive_chunks(&ctx, &chunks, 7); // flushes span several writes
+        r.service.shutdown();
+        let snap = r.stats.snapshot();
+        assert_eq!(acks.len(), ids.len() * ACK_LEN);
+        assert_eq!(ring.dropped(), 0);
+        let spans: Vec<_> = ring
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.stage == Stage::Ack)
+            .collect();
+        assert!(snap.ack_flushes > 1, "{snap:?}");
+        assert_eq!(spans.len() as u64, snap.ack_flushes, "{snap:?}");
+        assert_eq!(spans.iter().map(|e| e.items).sum::<u64>(), snap.acks_sent);
+        assert_eq!(snap.acks_sent, ids.len() as u64);
+        assert!(spans.iter().all(|e| e.key == 5 && e.items > 0));
     }
 
     /// An unacked binary session through the reactor machine: no ack

@@ -31,10 +31,14 @@
 
 pub mod beacon;
 pub mod binary;
+#[cfg(target_os = "linux")]
+mod clock;
 pub mod crc;
 pub mod error;
 pub mod framing;
 pub mod json;
+#[cfg(target_os = "linux")]
+mod readiness;
 pub mod sender;
 pub mod types;
 
